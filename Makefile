@@ -35,11 +35,13 @@ bench:
 bench-go:
 	$(GO) test -bench=. -benchtime=1x ./...
 
-# fuzz runs the differential fuzzer for a short budget: generated
-# programs must match the interpreter oracle at every optimization
-# level, clean and under injected faults.
+# fuzz runs each fuzz target for a short budget: generated programs
+# must match the interpreter oracle at every optimization level, clean
+# and under injected faults; arbitrary persisted cache entries must load
+# or be quarantined, never panic or serve under a wrong key.
 fuzz:
 	$(GO) test -fuzz=FuzzDifferential -fuzztime=$(FUZZTIME) -run '^$$' ./internal/difftest
+	$(GO) test -fuzz=FuzzDiskLoad -fuzztime=$(FUZZTIME) -run '^$$' ./internal/serve
 
 examples:
 	@for d in examples/*/; do \

@@ -118,11 +118,11 @@ type Program struct {
 	// statistics; the choice still keys the compile cache, because a
 	// cached Compiled carries its backend's prebuilt structures.
 	Backend string `json:"backend,omitempty"`
-	// Partitions is the event-domain count for partitioned interpreter
-	// execution; 0 and 1 (the default) mean the sequential queue.
-	// Results are bit-identical for every value, but the setting keys
-	// the compile cache because a cached Compiled carries its prebuilt
-	// domain assignment.
+	// Partitions is deprecated: it is accepted and ignored. It once
+	// selected a partitioned event queue; every engine now runs one
+	// sequential queue, so any valid value (0..64) runs, keys the compile
+	// cache, and answers exactly like 0. Values outside 0..64 are still
+	// rejected as compile errors.
 	Partitions int `json:"partitions,omitempty"`
 }
 

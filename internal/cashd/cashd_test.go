@@ -123,6 +123,27 @@ func TestDifferentialRun(t *testing.T) {
 	}
 }
 
+// TestDeprecatedPartitions: the deprecated "partitions" wire field is
+// accepted and ignored. A request with partitions 3 answers bit-identically
+// to partitions 0 from the same cache entry. (TestStatusMapping checks
+// that an out-of-range count is still a typed compile error.)
+func TestDeprecatedPartitions(t *testing.T) {
+	_, ts := newTestServer(t, Config{Engine: serve.Config{Workers: 1, CacheEntries: 4}})
+	seq := api.RunRequest{Program: api.Program{Source: srcLoop, Level: api.LevelFull}, Entry: "f", Args: []int64{10}}
+	part := seq
+	part.Partitions = 3
+
+	rs := decodeBody[api.RunResponse](t, post(t, ts.URL+"/v1/run", seq))
+	rp := decodeBody[api.RunResponse](t, post(t, ts.URL+"/v1/run", part))
+	if rs.CacheHit || !rp.CacheHit {
+		t.Errorf("cache hits: partitions=0 %v, partitions=3 %v; want a miss then a hit on the same entry", rs.CacheHit, rp.CacheHit)
+	}
+	if rs.Value != rp.Value || rs.Stats != rp.Stats {
+		t.Errorf("partitions=3 diverged:\n partitions=0 value=%d stats=%+v\n partitions=3 value=%d stats=%+v",
+			rs.Value, rs.Stats, rp.Value, rp.Stats)
+	}
+}
+
 // TestDifferentialBatch: /v1/batch preserves request order and matches
 // DoBatch item by item.
 func TestDifferentialBatch(t *testing.T) {
@@ -200,6 +221,7 @@ func TestStatusMapping(t *testing.T) {
 		{"empty source", "POST", "/v1/run", `{"source":""}`, http.StatusBadRequest, api.ClassBadRequest},
 		{"compile error", "POST", "/v1/run", `{"source":"int f( {","entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"bad level", "POST", "/v1/run", `{"source":"int f(void){return 1;}","level":99,"entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
+		{"bad partitions", "POST", "/v1/run", `{"source":"int f(void){return 1;}","partitions":-1,"entry":"f"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"deadline", "POST", "/v1/run", fmt.Sprintf(`{"source":%q,"entry":"f","timeout_ms":1}`, srcSlow), http.StatusGatewayTimeout, api.ClassDeadline},
 		{"compile endpoint error", "POST", "/v1/compile", `{"source":"int f( {"}`, http.StatusUnprocessableEntity, api.ClassCompile},
 		{"empty batch", "POST", "/v1/batch", `{"runs":[]}`, http.StatusBadRequest, api.ClassBadRequest},

@@ -53,10 +53,6 @@ type eventQueue struct {
 
 func (q *eventQueue) len() int { return len(q.heap) }
 
-// topTime returns the minimum event's time without popping; the queue
-// must be non-empty.
-func (q *eventQueue) topTime() int64 { return q.slab[q.heap[0]].time }
-
 func (q *eventQueue) less(a, b int32) bool {
 	ea, eb := &q.slab[a], &q.slab[b]
 	if ea.time != eb.time {

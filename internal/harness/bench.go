@@ -1,7 +1,9 @@
 package harness
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -66,14 +68,53 @@ type BenchRow struct {
 // read in context — a scaling curve flattens at the physical core
 // count, not at the worker count.
 type BenchReport struct {
-	GoVersion   string           `json:"go_version"`
-	CPUs        int              `json:"cpus"`
-	BenchTime   string           `json:"bench_time"`
-	Rows        []BenchRow       `json:"rows"`
-	Parallel    []ParallelRow    `json:"parallel,omitempty"`
-	Partitioned []PartitionedRow `json:"partitioned,omitempty"`
-	Load        []LoadRow        `json:"load,omitempty"`
-	Chaos       []ChaosRow       `json:"chaos,omitempty"`
+	GoVersion string        `json:"go_version"`
+	CPUs      int           `json:"cpus"`
+	BenchTime string        `json:"bench_time"`
+	Rows      []BenchRow    `json:"rows"`
+	Parallel  []ParallelRow `json:"parallel,omitempty"`
+	Load      []LoadRow     `json:"load,omitempty"`
+	Chaos     []ChaosRow    `json:"chaos,omitempty"`
+}
+
+// MergeReport writes update into the BENCH.json report at path section
+// by section: each non-empty section of update (the bench sweep with its
+// machine fields, the load curve, the chaos rows) replaces the file's,
+// and every section update leaves empty is kept. So `-exp bench`,
+// `-exp load` and `-exp chaos` each refresh their own rows without
+// erasing the others'. An existing file that does not parse is an
+// error, never overwritten.
+func MergeReport(path string, update *BenchReport) error {
+	rep := &BenchReport{}
+	if data, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(data, rep); err != nil {
+			return fmt.Errorf("existing %s: %w", path, err)
+		}
+	}
+	if update.GoVersion != "" {
+		rep.GoVersion, rep.CPUs, rep.BenchTime = update.GoVersion, update.CPUs, update.BenchTime
+	}
+	if update.Rows != nil {
+		rep.Rows = update.Rows
+	}
+	if update.Parallel != nil {
+		rep.Parallel = update.Parallel
+	}
+	if update.Load != nil {
+		rep.Load = update.Load
+	}
+	if update.Chaos != nil {
+		rep.Chaos = update.Chaos
+	}
+	if rep.GoVersion == "" {
+		rep.GoVersion = runtime.Version()
+		rep.CPUs = runtime.NumCPU()
+	}
+	data, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
 // Bench measures simulator throughput for the named workloads at every
@@ -230,14 +271,6 @@ func (r *BenchReport) Benchstat() string {
 		fmt.Fprintf(&b, "BenchmarkParallel/%s/W%d %d %.0f ns/op %.1f ns/event %.2f runs/sec %.2f speedup\n",
 			row.Workload, row.Workers, row.Runs, 1e9/row.RunsPerSec, row.NsPerEvent, row.RunsPerSec, row.Speedup)
 	}
-	for _, row := range r.Partitioned {
-		name := fmt.Sprintf("BenchmarkPartitioned/%s/P%d", row.Workload, row.Partitions)
-		if row.Backend == BackendCodegen {
-			name += "/" + BackendCodegen
-		}
-		fmt.Fprintf(&b, "%s %d %.0f ns/op %.1f ns/event %.4f allocs/event %.2f speedup\n",
-			name, row.Runs, row.NsPerRun, row.NsPerEvent, row.AllocsPerEv, row.Speedup)
-	}
 	return b.String()
 }
 
@@ -263,10 +296,6 @@ func FormatBench(r *BenchReport) string {
 	if len(r.Parallel) > 0 {
 		b.WriteString("\n")
 		b.WriteString(FormatParallel(r.CPUs, r.Parallel))
-	}
-	if len(r.Partitioned) > 0 {
-		b.WriteString("\n")
-		b.WriteString(FormatPartitioned(r.CPUs, r.Partitioned))
 	}
 	return b.String()
 }

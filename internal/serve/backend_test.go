@@ -47,10 +47,10 @@ func TestBackendRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionedRoundTrip runs the same program sequentially and with
-// partitioned execution through the engine: values and statistics must
-// be bit-identical, and the partitioned request must occupy its own
-// cache entry (a cached Compiled carries its domain assignment).
+// TestPartitionedRoundTrip sends the same program with and without the
+// deprecated Partitions field: the field is ignored, so the second
+// request must hit the first one's cache entry and return a
+// bit-identical result.
 func TestPartitionedRoundTrip(t *testing.T) {
 	e := newEngine(t, Config{Workers: 2, CacheEntries: 8})
 	defer e.Close()
@@ -68,11 +68,14 @@ func TestPartitionedRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rs.Value != rp.Value || rs.Stats != rp.Stats {
-		t.Errorf("partitioned run diverged:\n sequential  value=%d stats=%+v\n partitioned value=%d stats=%+v",
+		t.Errorf("partitions=4 run diverged:\n partitions=0 value=%d stats=%+v\n partitions=4 value=%d stats=%+v",
 			rs.Value, rs.Stats, rp.Value, rp.Stats)
 	}
-	if rp.CacheHit {
-		t.Error("partitioned request hit the sequential cache entry")
+	if !rp.CacheHit {
+		t.Error("partitions=4 request missed the partitions=0 cache entry")
+	}
+	if s := e.Stats(); s.CacheMisses != 1 {
+		t.Errorf("cache misses = %d, want 1 (one entry for both requests)", s.CacheMisses)
 	}
 
 	// Out-of-range partition counts are compile-class errors.

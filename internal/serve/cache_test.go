@@ -70,11 +70,14 @@ func TestKeyNormalization(t *testing.T) {
 		t.Error(`Backend "" and Backend "interp" (the default) produced distinct keys`)
 	}
 
-	// Partitions 0 and 1 both mean the sequential queue: one key.
-	r = base
-	r.Partitions = 1
-	if k, _ := r.key(); k != k0 {
-		t.Error("Partitions 0 and 1 (both sequential) produced distinct keys")
+	// The deprecated Partitions field is accepted and ignored: every
+	// valid count keys like the sequential program.
+	for _, n := range []int{1, 4, 64} {
+		r = base
+		r.Partitions = n
+		if k, err := r.key(); err != nil || k != k0 {
+			t.Errorf("Partitions %d keyed apart from Partitions 0 (err %v)", n, err)
+		}
 	}
 
 	// Genuinely different compile-time fields key differently.
@@ -84,8 +87,6 @@ func TestKeyNormalization(t *testing.T) {
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Sim: &api.SimConfig{EdgeCap: 8}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Passes: &api.Passes{ConstFold: true, CSE: true, DCE: true}}},
 		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Backend: api.BackendCompiled}},
-		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Partitions: 2}},
-		{Program: api.Program{Source: srcLoop, Level: api.LevelFull, Partitions: 4}},
 	}
 	seen := map[cacheKey]int{k0: -1}
 	for i, r := range distinct {
@@ -129,6 +130,47 @@ func TestKeyNormalization(t *testing.T) {
 	r.Partitions = 1000
 	if _, err := r.key(); err == nil {
 		t.Error("out-of-range partitions keyed without error")
+	}
+}
+
+// goldenSrc and the digests below pin programKey's preimage. Persisted
+// cache entries are named by these digests, so a change to the preimage
+// orphans every on-disk cache written before it; change them only
+// together with the "v1" prefix.
+const goldenSrc = "int f(int a, int b) { return a + b; }\n"
+
+const (
+	goldenKeyFull = "977b0313f3b68d8353cf098b645bccf0d61b2e76e18b6c5dc22ed338b8269ff6"
+	// goldenKeyPart4 is the key a Partitions: 4 program was persisted
+	// under while the field still keyed the cache.
+	goldenKeyPart4 = "1e6b4de152f61b59e3b3e664a9c551d4518bc26e8d332f2cd5cb26902bdc7679"
+)
+
+// TestProgramKeyGolden pins the cache key of sequential programs to the
+// digests earlier releases persisted, and checks that the deprecated
+// Partitions field now lands on the sequential key.
+func TestProgramKeyGolden(t *testing.T) {
+	cases := []struct {
+		p    api.Program
+		want string
+	}{
+		{api.Program{Source: goldenSrc, Level: api.LevelFull}, goldenKeyFull},
+		{api.Program{Source: goldenSrc, Level: api.LevelNone, Backend: api.BackendCompiled},
+			"04c841b9b44cb6a5fd1e6cdaba0f053362f80b57ab3707a0c89827f6912233be"},
+		{api.Program{Source: goldenSrc, Level: api.LevelMedium, Sim: &api.SimConfig{EdgeCap: 2, Mem: &api.MemConfig{Kind: api.MemRealistic}}},
+			"6c5f8338ef540eb241a7451e2932778eaa3198507db3ef1c109732a5c3593804"},
+		{api.Program{Source: goldenSrc, Level: api.LevelBasic, Passes: &api.Passes{ConstFold: true, CSE: true}},
+			"b6711e3d3c8412948f71c380f28c844dbeb911219df8e0e19550ca9ae3bb2c3a"},
+		{api.Program{Source: goldenSrc, Level: api.LevelFull, Partitions: 4}, goldenKeyFull},
+	}
+	for i, c := range cases {
+		k, err := programKey(c.p)
+		if err != nil {
+			t.Fatalf("case %d: %v", i, err)
+		}
+		if k.String() != c.want {
+			t.Errorf("case %d: key %s, want %s", i, k, c.want)
+		}
 	}
 }
 

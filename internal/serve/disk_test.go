@@ -211,6 +211,42 @@ func TestDiskTornWriteQuarantined(t *testing.T) {
 	}
 }
 
+// TestDiskEntriesPersistedWithPartitions restarts on entries an earlier
+// release wrote, byte for byte: the sequential entry still loads under
+// its key and serves as a hit, while the Partitions: 4 entry, whose
+// content now hashes to the sequential key instead of its filename, is
+// quarantined like any other mis-keyed entry.
+func TestDiskEntriesPersistedWithPartitions(t *testing.T) {
+	dir := t.TempDir()
+	old := map[string]string{
+		goldenKeyFull + ".json":  `{"version":"v1","program":{"source":"int f(int a, int b) { return a + b; }\n","level":3}}` + "\n",
+		goldenKeyPart4 + ".json": `{"version":"v1","program":{"source":"int f(int a, int b) { return a + b; }\n","level":3,"partitions":4}}` + "\n",
+	}
+	for name, body := range old {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := newEngine(t, Config{Workers: 1, CacheEntries: 4, CacheDir: dir})
+	defer e.Close()
+	if s := e.Stats(); s.DiskLoaded != 1 || s.DiskQuarantined != 1 {
+		t.Fatalf("loaded %d / quarantined %d, want 1 / 1", s.DiskLoaded, s.DiskQuarantined)
+	}
+	if q, _ := filepath.Glob(filepath.Join(dir, quarantineDir, goldenKeyPart4+".json")); len(q) != 1 {
+		t.Error("partitioned entry not quarantined")
+	}
+	for _, n := range []int{0, 4} {
+		req := Request{Program: api.Program{Source: goldenSrc, Level: api.LevelFull, Partitions: n}, Entry: "f", Args: []int64{2, 3}}
+		resp, err := e.Do(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !resp.CacheHit || resp.Value != 5 {
+			t.Errorf("partitions=%d: hit %v value %d, want a hit with value 5", n, resp.CacheHit, resp.Value)
+		}
+	}
+}
+
 // TestDiskUnusableDir: New must fail loudly, not limp along silently
 // unpersisted.
 func TestDiskUnusableDir(t *testing.T) {

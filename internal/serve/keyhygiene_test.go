@@ -37,16 +37,20 @@ func TestRequestFieldInventory(t *testing.T) {
 	checkInventory(t, reflect.TypeOf(Request{}), "Request", keyedFields, runtimeFields)
 
 	// Every field of the embedded wire Program must be consumed by
-	// programKey (cache.go): source, level, passes, sim all are.
+	// programKey (cache.go): source, level, passes, sim, backend all are.
 	programKeyed := map[string]bool{
-		"Source":     true,
-		"Level":      true,
-		"Passes":     true,
-		"Sim":        true,
-		"Backend":    true,
+		"Source":  true,
+		"Level":   true,
+		"Passes":  true,
+		"Sim":     true,
+		"Backend": true,
+	}
+	// Deprecated fields programKey validates but does not key: they no
+	// longer change what is built or how it runs.
+	programIgnored := map[string]bool{
 		"Partitions": true,
 	}
-	checkInventory(t, reflect.TypeOf(api.Program{}), "api.Program", programKeyed, nil)
+	checkInventory(t, reflect.TypeOf(api.Program{}), "api.Program", programKeyed, programIgnored)
 
 	// The sub-configs hash via %#v of their converted internal structs,
 	// so every wire field flows into the key as long as the wire→internal
@@ -65,13 +69,13 @@ func TestRequestFieldInventory(t *testing.T) {
 	}
 }
 
-func checkInventory(t *testing.T, typ reflect.Type, name string, keyed, runtime map[string]bool) {
+func checkInventory(t *testing.T, typ reflect.Type, name string, keyed, unkeyed map[string]bool) {
 	t.Helper()
 	seen := map[string]bool{}
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i).Name
 		seen[f] = true
-		if !keyed[f] && !runtime[f] {
+		if !keyed[f] && !unkeyed[f] {
 			t.Errorf("%s gained field %q without a cache-key decision: if it affects the compiled circuit, add it to programKey (cache.go) and the keyed inventory; if it is run-time only, add it to the runtime inventory — see TestRequestFieldInventory",
 				name, f)
 		}
@@ -81,9 +85,9 @@ func checkInventory(t *testing.T, typ reflect.Type, name string, keyed, runtime 
 			t.Errorf("%s lost keyed field %q; update programKey and this inventory together", name, f)
 		}
 	}
-	for f := range runtime {
+	for f := range unkeyed {
 		if !seen[f] {
-			t.Errorf("%s lost run-time field %q; update this inventory", name, f)
+			t.Errorf("%s lost unkeyed field %q; update this inventory", name, f)
 		}
 	}
 }

@@ -59,13 +59,18 @@ func backendOf(b string) (core.Backend, error) {
 	}
 }
 
-// partitionsOf validates a wire partition count; 0 and 1 both mean the
-// sequential queue (the facade default).
-func partitionsOf(n int) (int, error) {
-	if n < 0 || n > core.MaxPartitions {
-		return 0, fmt.Errorf("invalid partitions %d (want 0..%d)", n, core.MaxPartitions)
+// maxPartitions bounds the deprecated api.Program.Partitions field.
+const maxPartitions = 64
+
+// checkPartitions validates the deprecated wire partition count. Every
+// engine runs one sequential event queue, so a valid count selects
+// nothing and never reaches the facade or the cache key; out-of-range
+// values are still rejected so a request that was invalid stays invalid.
+func checkPartitions(n int) error {
+	if n < 0 || n > maxPartitions {
+		return fmt.Errorf("invalid partitions %d (want 0..%d)", n, maxPartitions)
 	}
-	return n, nil
+	return nil
 }
 
 // memOf converts a wire memory configuration.
@@ -133,12 +138,8 @@ func coreOptions(p api.Program) ([]core.Option, error) {
 	if backend != core.BackendInterpreted {
 		opts = append(opts, core.WithBackend(backend))
 	}
-	parts, err := partitionsOf(p.Partitions)
-	if err != nil {
+	if err := checkPartitions(p.Partitions); err != nil {
 		return nil, err
-	}
-	if parts > 1 {
-		opts = append(opts, core.WithPartitions(parts))
 	}
 	if ps := passesOf(p.Passes); ps != nil {
 		opts = append(opts, core.WithPasses(*ps))
